@@ -194,14 +194,16 @@ ChordNetwork::NextHop ChordNetwork::SelectNextHop(const ChordNode& node,
                                                   uint64_t key) const {
   // Paper's policy: among live table entries between current and the key
   // (clockwise), pick the one closest to the key. Dead entries are skipped
-  // ("ping before forwarding").
+  // ("ping before forwarding"), but the ping comes last: only an entry
+  // that would become the new best pays the liveness probe
+  // (docs/ALGORITHMS.md, "The hop path").
   NextHop best{current, space_.ClockwiseDistance(current, key),
                HopEntryKind::kFinger};
   auto consider = [&](uint64_t w, HopEntryKind kind) {
-    if (w == current || !IsAlive(w)) return;
+    if (w == current) return;
     if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
-    uint64_t remaining = space_.ClockwiseDistance(w, key);
-    if (remaining < best.best_remaining) {
+    const uint64_t remaining = space_.ClockwiseDistance(w, key);
+    if (remaining < best.best_remaining && IsAlive(w)) {
       best.best_remaining = remaining;
       best.next = w;
       best.kind = kind;
@@ -394,19 +396,18 @@ void ChordNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
       auto consider = [&](uint64_t w, HopEntryKind kind) {
         if (w == current || excluded(dead_here, w)) return;
         if (!allow_retransmit && excluded(dropped_here, w)) return;
+        if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
+        const uint64_t remaining = space_.ClockwiseDistance(w, key);
+        if (remaining >= best_remaining) return;
         const bool alive = IsAlive(w);
         // Ping-before-forward still skips known-dead entries — unless
         // this lookup falls inside the entry's stale window, in which
         // case the holder believes the ping and forwards into the void.
         if (!alive && !faults.StaleBelievedAlive(key, current, w)) return;
-        if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
-        const uint64_t remaining = space_.ClockwiseDistance(w, key);
-        if (remaining < best_remaining) {
-          best_remaining = remaining;
-          next = w;
-          next_kind = kind;
-          next_is_dead = !alive;
-        }
+        best_remaining = remaining;
+        next = w;
+        next_kind = kind;
+        next_is_dead = !alive;
       };
       for (uint64_t w : Fingers(*node)) consider(w, HopEntryKind::kFinger);
       for (uint64_t w : Successors(*node)) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,9 +27,14 @@ namespace peercache::overlay {
 ///                     responsible-node / successor queries walk one array;
 ///   * `live_slots_` — slot of each live id, parallel to `live_ids_`, so a
 ///                     ring search yields the node without a second lookup;
-///   * `alive_`      — one byte per slot: `IsAlive` is a hash probe plus a
-///                     flat byte load instead of an ordered-set walk;
-///   * `slot_of_`    — id → slot hash index (identity-friendly uint64 keys).
+///   * `alive_`      — one byte per slot: `IsAlive` is an index probe plus
+///                     a flat byte load instead of an ordered-set walk;
+///   * `index_`      — id → slot index: a flat open-addressed table with
+///                     linear probing, a power-of-two size and load <= 1/2.
+///                     A probe is usually one 16-byte entry on one cache
+///                     line, where a chained hash map costs a bucket load
+///                     and a dependent node load. Slots are append-only and
+///                     dead nodes keep theirs, so the table never deletes.
 ///
 /// Node records themselves live in fixed-size slabs (kSlabNodes records
 /// each, placement-new constructed): slots are append-only and a slab never
@@ -61,7 +65,7 @@ class NodeStore {
         alive_(std::move(other.alive_)),
         live_ids_(std::move(other.live_ids_)),
         live_slots_(std::move(other.live_slots_)),
-        slot_of_(std::move(other.slot_of_)),
+        index_(std::move(other.index_)),
         tables_(std::move(other.tables_)) {
     other.count_ = 0;
     other.slabs_.clear();
@@ -74,7 +78,7 @@ class NodeStore {
       alive_ = std::move(other.alive_);
       live_ids_ = std::move(other.live_ids_);
       live_slots_ = std::move(other.live_slots_);
-      slot_of_ = std::move(other.slot_of_);
+      index_ = std::move(other.index_);
       tables_ = std::move(other.tables_);
       other.count_ = 0;
       other.slabs_.clear();
@@ -87,22 +91,35 @@ class NodeStore {
   FlatTableArena& tables() { return tables_; }
   const FlatTableArena& tables() const { return tables_; }
 
+  /// One entry of the id→slot index; `slot == kNoSlot` marks it empty.
+  struct IndexEntry {
+    uint64_t id;
+    uint32_t slot;
+  };
+
   /// Pre-sizes every index structure for `n` nodes (slab pointers, liveness
-  /// flags, live arrays, and the id→slot map) so a bulk build performs no
+  /// flags, live arrays, and the id→slot index) so a bulk build performs no
   /// incremental rehash or reallocation.
   void Reserve(size_t n) {
     slabs_.reserve((n + kSlabNodes - 1) >> kSlabShift);
     alive_.reserve(n);
     live_ids_.reserve(n);
     live_slots_.reserve(n);
-    slot_of_.reserve(n);
+    if (2 * n > index_.size()) Rehash(2 * n);
   }
 
   /// Slot of `id`, or kNoSlot when the id has never been added.
   uint32_t SlotOf(uint64_t id) const {
-    auto it = slot_of_.find(id);
-    return it == slot_of_.end() ? kNoSlot : it->second;
+    if (index_.empty()) return kNoSlot;
+    const size_t mask = index_.size() - 1;
+    for (size_t i = Home(id, mask);; i = (i + 1) & mask) {
+      const IndexEntry& e = index_[i];
+      if (e.slot == kNoSlot || e.id == id) return e.slot;
+    }
   }
+
+  /// Entries in the id→slot index (a power of two, at least twice size()).
+  size_t index_capacity() const { return index_.size(); }
 
   Node* Get(uint64_t id) {
     const uint32_t slot = SlotOf(id);
@@ -122,23 +139,24 @@ class NodeStore {
 
   size_t size() const { return count_; }
 
-  /// True iff the id's node exists and is currently alive. One hash probe
-  /// plus one flat byte load — the per-candidate check on the routing hot
-  /// path.
+  /// True iff the id's node exists and is currently alive. One index probe
+  /// plus one flat byte load.
   bool IsAlive(uint64_t id) const {
-    auto it = slot_of_.find(id);
-    return it != slot_of_.end() && alive_[it->second] != 0;
+    const uint32_t slot = SlotOf(id);
+    return slot != kNoSlot && alive_[slot] != 0;
   }
 
-  /// True iff slot `slot` is currently alive (no hash probe).
+  /// True iff slot `slot` is currently alive (no index probe).
   bool IsAliveSlot(uint32_t slot) const { return alive_[slot] != 0; }
 
   /// Creates the node for `id` if absent (constructed from `args`), else
   /// returns the existing record. Second member is true on insertion.
   template <typename... Args>
   std::pair<Node*, bool> Emplace(uint64_t id, Args&&... args) {
-    auto it = slot_of_.find(id);
-    if (it != slot_of_.end()) return {&at_slot(it->second), false};
+    if (const uint32_t existing = SlotOf(id); existing != kNoSlot) {
+      return {&at_slot(existing), false};
+    }
+    if (2 * (size_t{count_} + 1) > index_.size()) Rehash(2 * index_.size());
     const uint32_t slot = count_;
     if ((slot >> kSlabShift) >= slabs_.size()) {
       slabs_.emplace_back(new std::byte[sizeof(Node) * kSlabNodes]);
@@ -147,7 +165,7 @@ class NodeStore {
     ::new (static_cast<void*>(record)) Node(std::forward<Args>(args)...);
     ++count_;
     alive_.push_back(0);
-    slot_of_.emplace(id, slot);
+    Insert(id, slot);
     return {record, true};
   }
 
@@ -260,17 +278,15 @@ class NodeStore {
   }
 
   /// Deterministic footprint accounting for the scale-frontier telemetry.
-  /// `node_bytes`/`table_bytes`/`arena_bytes` are exact; `index_bytes`
-  /// estimates the id→slot map at one bucket pointer per bucket plus a
-  /// 24-byte chained entry per element (its layout is stdlib-internal).
+  /// Every field is exact: each structure is a flat array counted at its
+  /// capacity.
   StoreMemoryStats MemoryUsage() const {
     StoreMemoryStats s;
     s.node_bytes = slabs_.size() * kSlabNodes * sizeof(Node);
     s.index_bytes = alive_.capacity() * sizeof(uint8_t) +
                     live_ids_.capacity() * sizeof(uint64_t) +
                     live_slots_.capacity() * sizeof(uint32_t) +
-                    slot_of_.bucket_count() * sizeof(void*) +
-                    slot_of_.size() * 24;
+                    index_.capacity() * sizeof(IndexEntry);
     s.table_bytes = tables_.used_bytes();
     s.arena_bytes = tables_.allocated_bytes();
     const size_t total = s.node_bytes + s.index_bytes + s.arena_bytes;
@@ -281,6 +297,34 @@ class NodeStore {
   }
 
  private:
+  static constexpr size_t kMinIndex = 16;
+
+  /// Home bucket of `id`: a multiplicative (Fibonacci) hash, so sequential
+  /// ids and ids that agree in their low or high bits still spread.
+  static size_t Home(uint64_t id, size_t mask) {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  }
+
+  /// Places a new id (known absent) at the first empty entry of its probe
+  /// run. The caller keeps the load at or below one half.
+  void Insert(uint64_t id, uint32_t slot) {
+    const size_t mask = index_.size() - 1;
+    size_t i = Home(id, mask);
+    while (index_[i].slot != kNoSlot) i = (i + 1) & mask;
+    index_[i] = IndexEntry{id, slot};
+  }
+
+  /// Rebuilds the index with the smallest power-of-two size >= `min_size`.
+  void Rehash(size_t min_size) {
+    size_t size = kMinIndex;
+    while (size < min_size) size <<= 1;
+    std::vector<IndexEntry> old(size, IndexEntry{0, kNoSlot});
+    old.swap(index_);
+    for (const IndexEntry& e : old) {
+      if (e.slot != kNoSlot) Insert(e.id, e.slot);
+    }
+  }
+
   Node* SlabBase(size_t slab) {
     return std::launder(reinterpret_cast<Node*>(slabs_[slab].get()));
   }
@@ -298,7 +342,7 @@ class NodeStore {
   std::vector<uint8_t> alive_;   // slot-indexed liveness flags
   std::vector<uint64_t> live_ids_;    // sorted live ids (contiguous)
   std::vector<uint32_t> live_slots_;  // parallel slots of live_ids_
-  std::unordered_map<uint64_t, uint32_t> slot_of_;
+  std::vector<IndexEntry> index_;     // id → slot, open-addressed
   FlatTableArena tables_;  // backing words for the nodes' FlatList slices
 };
 

@@ -302,12 +302,14 @@ KademliaNetwork::NextHop KademliaNetwork::SelectNextHop(
     const KademliaNode& node, uint64_t current, uint64_t key) const {
   // Greedy XOR descent: among live table entries strictly closer to the
   // key than the current node, pick the closest. Dead entries are skipped
-  // ("ping before forwarding").
+  // ("ping before forwarding"), but the ping comes last: only an entry
+  // that would become the new best pays the liveness probe
+  // (docs/ALGORITHMS.md, "The hop path").
   NextHop best{current, current ^ key, HopEntryKind::kBucket};
   auto consider = [&](uint64_t w, HopEntryKind kind) {
-    if (w == current || !IsAlive(w)) return;
+    if (w == current) return;
     const uint64_t remaining = w ^ key;
-    if (remaining < best.best_remaining) {
+    if (remaining < best.best_remaining && IsAlive(w)) {
       best.best_remaining = remaining;
       best.next = w;
       best.kind = kind;
@@ -499,18 +501,17 @@ void KademliaNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
       auto consider = [&](uint64_t w, HopEntryKind kind) {
         if (w == current || excluded(dead_here, w)) return;
         if (!allow_retransmit && excluded(dropped_here, w)) return;
+        const uint64_t remaining = w ^ key;
+        if (remaining >= best_remaining) return;
         const bool alive = IsAlive(w);
         // Ping-before-forward still skips known-dead entries — unless
         // this lookup falls inside the entry's stale window, in which
         // case the holder believes the ping and forwards into the void.
         if (!alive && !faults.StaleBelievedAlive(key, current, w)) return;
-        const uint64_t remaining = w ^ key;
-        if (remaining < best_remaining) {
-          best_remaining = remaining;
-          next = w;
-          next_kind = kind;
-          next_is_dead = !alive;
-        }
+        best_remaining = remaining;
+        next = w;
+        next_kind = kind;
+        next_is_dead = !alive;
       };
       for (uint64_t w : BucketEntries(*node)) {
         consider(w, HopEntryKind::kBucket);

@@ -327,19 +327,27 @@ PastryNetwork::Decision PastryNetwork::DecideNext(const PastryNode& node,
   // Rule R2 (prefix routing): best strictly-longer prefix match with the
   // key; ties on prefix length break by underlay proximity to the current
   // node (FreePastry's locality-aware choice among equal-progress
-  // candidates).
+  // candidates). R2 and R3 test progress before liveness, so an entry that
+  // cannot win pays no probe (docs/ALGORITHMS.md, "The hop path"); a tie on
+  // prefix length is probed before its proximity is read.
   uint64_t next = kNoEntry;
   int best_lcp = current_lcp;
   double best_prox = 0;
   HopEntryKind next_kind = HopEntryKind::kRoutingRow;
   if (!numeric_mode) {
     auto consider_prefix = [&](uint64_t w, HopEntryKind kind) {
-      if (w == kNoEntry || w == current || !IsAlive(w)) return;
+      if (w == kNoEntry || w == current) return;
       const int l = CommonPrefixLength(w, key, params_.bits);
       if (l <= current_lcp) return;
-      const double d = Proximity(current, w);
-      if (next == kNoEntry || l > best_lcp ||
-          (l == best_lcp && d < best_prox)) {
+      if (next != kNoEntry && l < best_lcp) return;
+      const uint32_t slot = store_.SlotOf(w);
+      if (slot == decltype(store_)::kNoSlot || !store_.IsAliveSlot(slot)) {
+        return;
+      }
+      // Proximity(current, w) from the records in hand: one index probe.
+      const double d =
+          EuclideanDistance(node.coord, store_.at_slot(slot).coord);
+      if (next == kNoEntry || l > best_lcp || d < best_prox) {
         next = w;
         best_lcp = l;
         best_prox = d;
@@ -358,9 +366,9 @@ PastryNetwork::Decision PastryNetwork::DecideNext(const PastryNode& node,
     out.enters_numeric = true;
     uint64_t best_dist = ring_distance(current, key);
     auto consider_numeric = [&](uint64_t w, HopEntryKind kind) {
-      if (w == kNoEntry || w == current || !IsAlive(w)) return;
+      if (w == kNoEntry || w == current) return;
       const uint64_t d = ring_distance(w, key);
-      if (d < best_dist) {
+      if (d < best_dist && IsAlive(w)) {
         best_dist = d;
         next = w;
         next_kind = kind;
@@ -622,12 +630,13 @@ void PastryNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
         next_is_dead = false;
         delivery_hop = false;
         deliver_here = false;
-        auto usable = [&](uint64_t w) {
+        // R2/R3 candidates: the cheap exclusion tests. Liveness is asked
+        // last, only of an entry that would become the new best.
+        auto eligible = [&](uint64_t w) {
           if (w == kNoEntry || w == current || excluded(dead_here, w)) {
             return false;
           }
-          if (!allow_retransmit && excluded(dropped_here, w)) return false;
-          return believed_alive(w);
+          return allow_retransmit || !excluded(dropped_here, w);
         };
         // R1 never honors the drop-exclusion set: its hop is final (the
         // chosen member answers), so settling for the second-closest member
@@ -681,12 +690,13 @@ void PastryNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
         double best_prox = 0;
         if (!numeric_mode) {
           auto consider_prefix = [&](uint64_t w, HopEntryKind kind) {
-            if (!usable(w)) return;
+            if (!eligible(w)) return;
             const int l = CommonPrefixLength(w, key, params_.bits);
             if (l <= current_lcp) return;
+            if (next != kNoEntry && l < best_lcp) return;
+            if (!believed_alive(w)) return;
             const double d = Proximity(current, w);
-            if (next == kNoEntry || l > best_lcp ||
-                (l == best_lcp && d < best_prox)) {
+            if (next == kNoEntry || l > best_lcp || d < best_prox) {
               next = w;
               best_lcp = l;
               best_prox = d;
@@ -711,9 +721,9 @@ void PastryNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
         if (next == kNoEntry) {
           uint64_t best_dist = ring_distance(current, key);
           auto consider_numeric = [&](uint64_t w, HopEntryKind kind) {
-            if (!usable(w)) return;
+            if (!eligible(w)) return;
             const uint64_t d = ring_distance(w, key);
-            if (d < best_dist) {
+            if (d < best_dist && believed_alive(w)) {
               best_dist = d;
               next = w;
               next_kind = kind;

@@ -170,5 +170,109 @@ TEST(NodeStore, PointersStayValidAcrossGrowth) {
   EXPECT_EQ(first->tag, 0);
 }
 
+
+using Store = NodeStore<TestNode>;
+
+/// Emplaces `ids` in order (tag = insertion index) and checks that every
+/// one resolves to its own slot, and that the index stays a power of two
+/// at load <= 1/2.
+void ExpectIndexesExactly(Store& store, const std::vector<uint64_t>& ids) {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto [node, inserted] = store.Emplace(ids[i], static_cast<int>(i));
+    ASSERT_TRUE(inserted) << "id " << ids[i];
+    EXPECT_EQ(node->tag, static_cast<int>(i));
+  }
+  ASSERT_EQ(store.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(store.SlotOf(ids[i]), static_cast<uint32_t>(i))
+        << "id " << ids[i];
+    ASSERT_EQ(store.Get(ids[i])->tag, static_cast<int>(i));
+  }
+  const size_t cap = store.index_capacity();
+  EXPECT_EQ(cap & (cap - 1), 0u) << cap;
+  EXPECT_GE(cap, 2 * ids.size());
+}
+
+TEST(NodeStoreIndex, AdversarialIdSetsResolveExactly) {
+  std::vector<std::vector<uint64_t>> sets(4);
+  for (uint64_t i = 0; i < 4096; ++i) {
+    sets[0].push_back(i);                                  // sequential
+    sets[1].push_back((i << 32) | 0x9E3779B9u);            // same low 32 bits
+    sets[2].push_back(0xFEDCBA9800000000ull | (i << 3));   // same high bits
+  }
+  sets[3] = {0, ~uint64_t{0}, 1, ~uint64_t{0} - 1};        // the extremes
+  for (const std::vector<uint64_t>& ids : sets) {
+    Store store;
+    ExpectIndexesExactly(store, ids);
+    // Neighbours of the set are absent.
+    EXPECT_EQ(store.SlotOf(ids.back() + 7), Store::kNoSlot);
+    EXPECT_EQ(store.SlotOf(ids[0] ^ (uint64_t{1} << 63)), Store::kNoSlot);
+  }
+}
+
+TEST(NodeStoreIndex, GrowsWithoutReserveAndPastAnUndersizedOne) {
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 3000; ++i) ids.push_back(i * 0x10001 + 5);
+  Store unreserved;
+  ExpectIndexesExactly(unreserved, ids);
+  Store undersized;
+  undersized.Reserve(10);
+  ExpectIndexesExactly(undersized, ids);
+  EXPECT_EQ(unreserved.index_capacity(), undersized.index_capacity());
+}
+
+TEST(NodeStoreIndex, NeverAddedIdsHaveNoSlot) {
+  Store store;
+  for (uint64_t id : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
+    EXPECT_EQ(store.SlotOf(id), Store::kNoSlot);
+    EXPECT_EQ(store.Get(id), nullptr);
+    EXPECT_FALSE(store.IsAlive(id));
+  }
+  for (uint64_t id = 100; id < 200; id += 2) store.Emplace(id, 0);
+  for (uint64_t id = 101; id < 200; id += 2) {
+    EXPECT_EQ(store.SlotOf(id), Store::kNoSlot) << id;
+  }
+  // The empty-entry marker is the slot, not the id: id 0 stays absent.
+  EXPECT_EQ(store.SlotOf(0), Store::kNoSlot);
+  EXPECT_EQ(store.SlotOf(~uint64_t{0}), Store::kNoSlot);
+}
+
+TEST(NodeStoreIndex, MovesKeepEveryLookup) {
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 2000; ++i) ids.push_back(i * 7919 + (i << 40));
+  Store source;
+  ExpectIndexesExactly(source, ids);
+  source.BulkMarkAlive(ids);
+
+  Store moved(std::move(source));
+  Store assigned;
+  assigned.Emplace(12345, 0);  // replaced by the assignment
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.SlotOf(12345), Store::kNoSlot);
+  ASSERT_EQ(assigned.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(assigned.SlotOf(ids[i]), static_cast<uint32_t>(i));
+    EXPECT_TRUE(assigned.IsAlive(ids[i]));
+  }
+}
+
+TEST(NodeStoreIndex, IndexBytesIsTheExactFootprint) {
+  // Reserve(100) sizes every array to exactly 100 elements and the index to
+  // the smallest power of two holding 100 ids at load <= 1/2.
+  Store store;
+  store.Reserve(100);
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < 100; ++i) ids.push_back(i * 31);
+  for (uint64_t id : ids) store.Emplace(id, 0);
+  store.BulkMarkAlive(ids);
+  EXPECT_EQ(store.index_capacity(), 256u);
+  const size_t expected = 100 * sizeof(uint8_t) +    // liveness flags
+                          100 * sizeof(uint64_t) +   // sorted live ids
+                          100 * sizeof(uint32_t) +   // their slots
+                          256 * sizeof(Store::IndexEntry);
+  EXPECT_EQ(store.MemoryUsage().index_bytes, expected);
+  EXPECT_EQ(sizeof(Store::IndexEntry), 16u);
+}
+
 }  // namespace
 }  // namespace peercache::overlay
