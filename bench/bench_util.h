@@ -84,17 +84,13 @@ struct BenchArgs {
         args.batch = true;
       } else if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
         args.json_out = argv[++i];
-      } else if (std::strcmp(argv[i], "--fault-drop") == 0 && i + 1 < argc) {
-        args.faults.drop_prob = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--fault-fail") == 0 && i + 1 < argc) {
-        args.faults.fail_prob = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--fault-stale") == 0 && i + 1 < argc) {
-        args.faults.stale_prob = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-        args.faults.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-      } else if (std::strcmp(argv[i], "--fault-retries") == 0 &&
-                 i + 1 < argc) {
-        args.faults.max_retries = std::atoi(argv[++i]);
+      } else if (fault::IsFaultFlag(argv[i]) && i + 1 < argc) {
+        const char* flag = argv[i];
+        if (Status s = fault::ApplyFaultFlag(flag, argv[++i], args.faults);
+            !s.ok()) {
+          std::fprintf(stderr, "%s\n", s.message().c_str());
+          std::exit(2);
+        }
       } else if (std::strcmp(argv[i], "--no-fault-retries") == 0) {
         args.faults.retry = false;
       } else if (std::strcmp(argv[i], "--latency-base") == 0 && i + 1 < argc) {

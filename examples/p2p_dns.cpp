@@ -123,7 +123,7 @@ int main() {
       ++item_cache_hits;
       if (it->second.version != bindings[name].version) ++item_cache_stale;
     } else {
-      auto route = net.Lookup(origin, key);
+      auto route = overlay::Lookup(net, origin, key);
       if (route.ok() && route->success) {
         ++item_misses;
         item_miss_hops += static_cast<uint64_t>(route->hops);
@@ -133,7 +133,7 @@ int main() {
     }
 
     // Strategy B: peer caching (always routes; always authoritative).
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     if (route.ok() && route->success) {
       ++pointer_lookups;
       pointer_hops += static_cast<uint64_t>(route->hops);

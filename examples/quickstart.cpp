@@ -27,7 +27,7 @@ double MeasureAvgHops(const chord::ChordNetwork& net, uint64_t origin,
                       const std::vector<uint64_t>& keys) {
   OnlineStats hops;
   for (uint64_t key : keys) {
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     if (route.ok() && route->success) hops.Add(route->hops);
   }
   return hops.mean();
@@ -62,7 +62,7 @@ int main() {
   }
   auxsel::FrequencyTable& freq = net.GetNode(me)->frequencies;
   for (uint64_t key : warmup_keys) {
-    auto route = net.Lookup(me, key);
+    auto route = overlay::Lookup(net, me, key);
     if (route.ok() && route->success) freq.Record(route->destination);
   }
   std::printf("observed %llu queries to %zu distinct peers\n",

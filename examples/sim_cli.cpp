@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "common/bits.h"
+#include "common/fault.h"
 #include "common/latency.h"
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -214,17 +215,13 @@ struct Args {
       } else if (!std::strcmp(argv[i], "--budget-seed")) {
         a.budget_seed =
             static_cast<uint64_t>(std::atoll(next("--budget-seed")));
-      } else if (!std::strcmp(argv[i], "--fault-drop")) {
-        a.faults.drop_prob = std::atof(next("--fault-drop"));
-      } else if (!std::strcmp(argv[i], "--fault-fail")) {
-        a.faults.fail_prob = std::atof(next("--fault-fail"));
-      } else if (!std::strcmp(argv[i], "--fault-stale")) {
-        a.faults.stale_prob = std::atof(next("--fault-stale"));
-      } else if (!std::strcmp(argv[i], "--fault-seed")) {
-        a.faults.seed =
-            static_cast<uint64_t>(std::atoll(next("--fault-seed")));
-      } else if (!std::strcmp(argv[i], "--fault-retries")) {
-        a.faults.max_retries = std::atoi(next("--fault-retries"));
+      } else if (fault::IsFaultFlag(argv[i])) {
+        const char* flag = argv[i];
+        if (Status s = fault::ApplyFaultFlag(flag, next(flag), a.faults);
+            !s.ok()) {
+          std::fprintf(stderr, "%s\n", s.message().c_str());
+          std::exit(2);
+        }
       } else if (!std::strcmp(argv[i], "--no-fault-retries")) {
         a.faults.retry = false;
       } else if (!std::strcmp(argv[i], "--latency-base")) {

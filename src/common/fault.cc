@@ -1,5 +1,13 @@
 #include "common/fault.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
+#include <string>
+#include <utility>
+
 #include "common/random.h"
 
 namespace peercache::fault {
@@ -27,6 +35,62 @@ double UnitFromHash(uint64_t h) {
 }
 
 }  // namespace
+
+Status FaultConfig::Validate() const {
+  const std::pair<const char*, double> probs[] = {
+      {"drop_prob", drop_prob},
+      {"fail_prob", fail_prob},
+      {"stale_prob", stale_prob}};
+  for (const auto& [name, p] : probs) {
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be a probability in [0, 1]");
+    }
+  }
+  if (max_retries < 0) {
+    return Status::InvalidArgument("max_retries must be >= 0");
+  }
+  return Status::Ok();
+}
+
+bool IsFaultFlag(std::string_view flag) {
+  return flag == "--fault-drop" || flag == "--fault-fail" ||
+         flag == "--fault-stale" || flag == "--fault-seed" ||
+         flag == "--fault-retries";
+}
+
+Status ApplyFaultFlag(std::string_view flag, const char* value,
+                      FaultConfig& config) {
+  auto bad = [&](const std::string& why) {
+    return Status::InvalidArgument(std::string(flag) + " " + value + ": " +
+                                   why);
+  };
+  if (!IsFaultFlag(flag)) return bad("not a fault flag");
+  FaultConfig next = config;
+  char* end = nullptr;
+  errno = 0;
+  if (flag == "--fault-seed") {
+    // strtoull would wrap a negative seed around silently.
+    if (!std::isdigit(static_cast<unsigned char>(*value))) {
+      return bad("not an unsigned integer");
+    }
+    next.seed = std::strtoull(value, &end, 10);
+  } else if (flag == "--fault-retries") {
+    const long n = std::strtol(value, &end, 10);
+    if (n < INT_MIN || n > INT_MAX) errno = ERANGE;
+    next.max_retries = static_cast<int>(n);
+  } else {
+    double& p = flag == "--fault-drop"   ? next.drop_prob
+                : flag == "--fault-fail" ? next.fail_prob
+                                         : next.stale_prob;
+    p = std::strtod(value, &end);
+  }
+  if (end == value || *end != '\0') return bad("not a number");
+  if (errno == ERANGE) return bad("out of range");
+  if (Status s = next.Validate(); !s.ok()) return bad(s.message());
+  config = next;
+  return Status::Ok();
+}
 
 bool FaultPlan::DropForward(uint64_t key, uint64_t from, uint64_t to,
                             int attempt) const {

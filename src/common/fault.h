@@ -2,6 +2,9 @@
 #define PEERCACHE_COMMON_FAULT_H_
 
 #include <cstdint>
+#include <string_view>
+
+#include "common/status.h"
 
 namespace peercache::fault {
 
@@ -40,7 +43,22 @@ struct FaultConfig {
   bool enabled() const {
     return drop_prob > 0.0 || fail_prob > 0.0 || stale_prob > 0.0;
   }
+
+  /// OK when every probability is finite and within [0, 1] and
+  /// max_retries >= 0; otherwise InvalidArgument naming the field.
+  Status Validate() const;
 };
+
+/// True for the valued fault flags of the command-line drivers:
+/// --fault-drop/-fail/-stale P, --fault-seed S, --fault-retries N.
+bool IsFaultFlag(std::string_view flag);
+
+/// Applies one valued fault flag to `config`. The whole value must parse as
+/// the flag's number type (no trailing text, no sign on a seed) and leave
+/// `config` valid; otherwise `config` is unchanged and the InvalidArgument
+/// message names the flag and the rejected value.
+Status ApplyFaultFlag(std::string_view flag, const char* value,
+                      FaultConfig& config);
 
 /// Deterministic fault oracle handed to LookupInto. Every predicate is a
 /// stateless hash of (seed, decision identity): concurrent lookups on any

@@ -11,6 +11,7 @@
 #include "common/latency.h"
 #include "common/ring_id.h"
 #include "common/route_result.h"
+#include "common/router.h"
 #include "common/status.h"
 #include "common/trace.h"
 
@@ -38,10 +39,11 @@ concept OverlayNode = requires(N& node, const N& cnode, uint64_t peer) {
 ///     StabilizeAll over a circular IdSpace;
 ///   * god's-eye ground truth — ResponsibleNode;
 ///   * routing — LookupInto writes into a caller-owned RouteResult (the
-///     zero-allocation hot path) with optional per-hop tracing and an
-///     optional fault::FaultPlan that switches the route onto the
-///     retry-capable resilient policy; Lookup is the by-value convenience
-///     form;
+///     zero-allocation hot path) with optional per-hop tracing, an optional
+///     fault::FaultPlan that switches the route onto the retry-capable
+///     resilient policy, and an optional latency model. Backends implement
+///     it as one overlay::Router (common/router.h) over their geometry
+///     function `Choose`; overlay::Lookup is the by-value form;
 ///   * auxiliary plumbing — SetAuxiliaries installs the selection result,
 ///     CoreNeighborIds exposes N_s for the selectors, AuxiliarySpan reads
 ///     the installed list and EraseAuxiliary evicts one stale entry;
@@ -80,11 +82,6 @@ concept Overlay = OverlayNode<typename N::NodeType> &&
   { cnet.LookupInto(id, id, out, trace, faults) } -> std::same_as<Status>;
   { cnet.LookupInto(id, id, out, trace, faults, latency) } ->
       std::same_as<Status>;
-  { cnet.Lookup(id, id) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace, faults) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace, faults, latency) } ->
-      std::same_as<Result<RouteResult>>;
   { net.StabilizeNode(id) } -> std::same_as<Status>;
   { net.StabilizeAll() };
   { net.SetAuxiliaries(id, std::move(aux)) } -> std::same_as<Status>;

@@ -67,7 +67,7 @@ class ReplicaIndex {
 /// route and stops at the first replica holder.
 int HopsToReplica(const ChordNetwork& net, const ReplicaIndex& replicas,
                   uint64_t origin, uint64_t key, size_t item, bool* found) {
-  auto route = net.Lookup(origin, key);
+  auto route = overlay::Lookup(net, origin, key);
   *found = false;
   if (!route.ok() || !route->success) return 0;
   *found = true;
@@ -170,7 +170,8 @@ Result<StrategyComparison> CompareStrategies(
 
     // Baseline: plain routing (auxiliaries cleared).
     (void)net.SetAuxiliaries(origin, {});
-    if (auto route = net.Lookup(origin, key); route.ok() && route->success) {
+    if (auto route = overlay::Lookup(net, origin, key);
+        route.ok() && route->success) {
       base_hops += static_cast<uint64_t>(route->hops);
       ++base_lookups;
     }
@@ -182,7 +183,7 @@ Result<StrategyComparison> CompareStrategies(
       if (probe.hit) {
         ++ic_answers;
         if (probe.version != truth.Version(item)) ++ic_stale;
-      } else if (auto route = net.Lookup(origin, key);
+      } else if (auto route = overlay::Lookup(net, origin, key);
                  route.ok() && route->success) {
         ic_hops += static_cast<uint64_t>(route->hops);
         ++ic_answers;
@@ -206,7 +207,7 @@ Result<StrategyComparison> CompareStrategies(
       (void)net.SetAuxiliaries(origin,
                                it == optimal_aux.end() ? std::vector<uint64_t>{}
                                                        : it->second);
-      if (auto route = net.Lookup(origin, key);
+      if (auto route = overlay::Lookup(net, origin, key);
           route.ok() && route->success) {
         pc_hops += static_cast<uint64_t>(route->hops);
         ++pc_lookups;

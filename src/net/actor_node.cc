@@ -5,46 +5,11 @@
 
 #include "chord/chord_network.h"
 #include "common/route_result.h"
+#include "common/router.h"
 #include "kademlia/kademlia_network.h"
 #include "pastry/pastry_network.h"
 
 namespace peercache::net {
-
-namespace {
-
-template <typename Cursor>
-WireCursor PackCursor(const Cursor& c) {
-  WireCursor w;
-  w.current = c.current;
-  w.key = c.key;
-  w.truth = c.truth;
-  w.hops_taken = static_cast<uint32_t>(c.hops_taken);
-  w.spent = static_cast<uint32_t>(c.spent);
-  w.attempt = static_cast<uint32_t>(c.attempt);
-  if (c.resilient) w.flags |= WireCursor::kFlagResilient;
-  if constexpr (requires { c.numeric_mode; }) {
-    if (c.numeric_mode) w.flags |= WireCursor::kFlagNumericMode;
-  }
-  return w;
-}
-
-template <typename Cursor>
-void UnpackCursor(const WireCursor& w, Cursor& c) {
-  c = Cursor{};
-  c.current = w.current;
-  c.key = w.key;
-  c.truth = w.truth;
-  c.hops_taken = static_cast<int>(w.hops_taken);
-  c.spent = static_cast<int>(w.spent);
-  c.attempt = static_cast<int>(w.attempt);
-  c.resilient = (w.flags & WireCursor::kFlagResilient) != 0;
-  if constexpr (requires { c.numeric_mode; }) {
-    c.numeric_mode = (w.flags & WireCursor::kFlagNumericMode) != 0;
-  }
-  c.done = false;  // a STEP only travels while the route is live
-}
-
-}  // namespace
 
 LookupWireStatus WireStatusOf(const Status& s) {
   if (s.ok()) return LookupWireStatus::kOk;
@@ -112,20 +77,20 @@ void ActorHost<Net>::EmitError(uint64_t lookup_id, uint64_t client,
 
 template <typename Net>
 void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
-                                 uint64_t origin,
-                                 typename Net::RouteCursor& cursor,
+                                 uint64_t origin, overlay::RouteCursor& cursor,
                                  overlay::RouteResult& result,
                                  RouteTrace* trace,
                                  std::vector<Outbound>& out) const {
   const double before = result.latency_ms;
-  net_->StepRoute(cursor, result, trace, config_.faults, config_.latency);
+  overlay::Router(*net_, trace, config_.faults, config_.latency)
+      .Visit(cursor, result);
   // The visit's latency span is the message's transit time — the
   // LatencyModel is the bus's delivery clock. The full sum still travels
   // bit-exact inside the route state, so telemetry never re-accumulates.
   const double delay = result.latency_ms - before;
   Outbound o;
   o.delay_ms = delay;
-  if (cursor.done) {
+  if (cursor.done()) {
     LookupDone done;
     done.lookup_id = lookup_id;
     done.client = client;
@@ -144,7 +109,7 @@ void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
     step.lookup_id = lookup_id;
     step.client = client;
     step.origin = origin;
-    step.cursor = PackCursor(cursor);
+    step.cursor = cursor;
     step.route = PackRouteState(result);
     if (trace != nullptr) {
       step.flags |= LookupStep::kFlagTraced;
@@ -159,12 +124,12 @@ void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
 template <typename Net>
 void ActorHost<Net>::StartLookup(const LookupReq& req,
                                  std::vector<Outbound>& out) const {
-  typename Net::RouteCursor cursor;
+  overlay::RouteCursor cursor;
   overlay::RouteResult result;
   RouteTrace trace;
   RouteTrace* tp = req.traced() ? &trace : nullptr;
-  const Status s = net_->BeginRoute(req.origin, req.key, cursor, result, tp,
-                                    config_.faults, config_.latency);
+  const Status s = overlay::Router(*net_, tp, config_.faults, config_.latency)
+                       .Begin(req.origin, req.key, cursor, result);
   if (!s.ok()) {
     EmitError(req.lookup_id, req.client, req.origin, req.key, WireStatusOf(s),
               out);
@@ -176,9 +141,16 @@ void ActorHost<Net>::StartLookup(const LookupReq& req,
 template <typename Net>
 void ActorHost<Net>::ContinueLookup(uint64_t at, const LookupStep& step,
                                     std::vector<Outbound>& out) const {
-  typename Net::RouteCursor cursor;
-  UnpackCursor(step.cursor, cursor);
-  if (cursor.current != at) {
+  // A STEP travels only while the route is live: its done bit (and any
+  // unknown bit) is cleared on receipt. The route must stand at this node,
+  // which must exist, and a resilient one needs a host with an enabled
+  // fault plan.
+  overlay::RouteCursor cursor = step.cursor;
+  cursor.flags &= overlay::RouteCursor::kResilient |
+                  overlay::RouteCursor::kNumericMode;
+  const bool faulted = config_.faults != nullptr && config_.faults->enabled();
+  if (cursor.current != at || net_->GetNode(at) == nullptr ||
+      (cursor.resilient() && !faulted)) {
     EmitError(step.lookup_id, step.client, step.origin, step.cursor.key,
               LookupWireStatus::kProtocolError, out);
     return;

@@ -77,7 +77,7 @@ bool ReadRouteState(ByteReader& r, WireRouteState& s) {
   return true;
 }
 
-void WriteCursor(ByteWriter& w, const WireCursor& c) {
+void WriteCursor(ByteWriter& w, const overlay::RouteCursor& c) {
   w.U64(c.current);
   w.U64(c.key);
   w.U64(c.truth);
@@ -87,7 +87,7 @@ void WriteCursor(ByteWriter& w, const WireCursor& c) {
   w.U8(c.flags);
 }
 
-bool ReadCursor(ByteReader& r, WireCursor& c) {
+bool ReadCursor(ByteReader& r, overlay::RouteCursor& c) {
   return r.U64(c.current) && r.U64(c.key) && r.U64(c.truth) &&
          r.U32(c.hops_taken) && r.U32(c.spent) && r.U32(c.attempt) &&
          r.U8(c.flags);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/route_result.h"
+#include "common/router.h"
 #include "common/status.h"
 #include "common/trace.h"
 
@@ -158,23 +159,6 @@ struct LookupReq {
   friend bool operator==(const LookupReq&, const LookupReq&) = default;
 };
 
-/// The in-flight route cursor — the union of the three overlays'
-/// RouteCursor fields (pastry's numeric-mode latch rides in a flag bit).
-struct WireCursor {
-  uint64_t current = 0;
-  uint64_t key = 0;
-  uint64_t truth = 0;
-  uint32_t hops_taken = 0;
-  uint32_t spent = 0;
-  uint32_t attempt = 0;
-  uint8_t flags = 0;
-
-  static constexpr uint8_t kFlagResilient = 1u << 0;
-  static constexpr uint8_t kFlagNumericMode = 1u << 1;
-
-  friend bool operator==(const WireCursor&, const WireCursor&) = default;
-};
-
 /// One RouteTrace hop record on the wire: entry kind, remaining-distance
 /// metric (overlay-specific), latency span, and fault tags.
 struct WireHop {
@@ -220,7 +204,10 @@ struct LookupStep {
   uint64_t client = kClientAddress;
   uint64_t origin = 0;
   uint8_t flags = 0;  // bit 0: traced (hop log travels)
-  WireCursor cursor;
+  /// The in-flight route: the overlay::Router's own cursor, sent as is
+  /// (fixed layout; its flags byte carries the resilient and numeric-mode
+  /// bits, never kDone).
+  overlay::RouteCursor cursor;
   WireRouteState route;
   std::vector<WireHop> hops;  // present when traced
 

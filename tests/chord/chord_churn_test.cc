@@ -58,7 +58,8 @@ TEST(ChordChurn, FlappingNodeNeverCorruptsRouting) {
       do {
         origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
       } while (!net.IsAlive(origin));
-      auto route = net.Lookup(origin, rng.UniformU64(uint64_t{1} << 16));
+      auto route =
+          overlay::Lookup(net, origin, rng.UniformU64(uint64_t{1} << 16));
       ASSERT_TRUE(route.ok());
       EXPECT_TRUE(net.IsAlive(route->destination));
     }
@@ -67,7 +68,7 @@ TEST(ChordChurn, FlappingNodeNeverCorruptsRouting) {
   net.StabilizeAll();
   for (int t = 0; t < 100; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 16);
-    auto route = net.Lookup(ids[0], key);
+    auto route = overlay::Lookup(net, ids[0], key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
   }
@@ -97,7 +98,8 @@ TEST(ChordChurn, PartialStabilizationStillRoutes) {
     do {
       origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     } while (!net.IsAlive(origin));
-    auto route = net.Lookup(origin, rng.UniformU64(uint64_t{1} << 16));
+    auto route =
+        overlay::Lookup(net, origin, rng.UniformU64(uint64_t{1} << 16));
     ASSERT_TRUE(route.ok());
     successes += route->success;
   }
@@ -111,12 +113,12 @@ TEST(ChordChurn, JoinVisibleOnlyAfterOthersStabilize) {
   net.StabilizeAll();
   // A node joins between them; 1000's tables don't know it yet.
   ASSERT_TRUE(net.AddNode(20000).ok());
-  auto route = net.Lookup(1000, 20005);
+  auto route = overlay::Lookup(net, 1000, 20005);
   ASSERT_TRUE(route.ok());
   // Ground truth says the new node owns key 20005; stale tables at 1000 may
   // or may not reach it, but after stabilization they must.
   net.StabilizeAll();
-  route = net.Lookup(1000, 20005);
+  route = overlay::Lookup(net, 1000, 20005);
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
   EXPECT_EQ(route->destination, 20000u);
@@ -129,7 +131,7 @@ TEST(ChordChurn, NeverRemoveBelowTwoNodesGuardIsCallersJob) {
   ASSERT_TRUE(net.AddNode(1).ok());
   ASSERT_TRUE(net.AddNode(128).ok());
   ASSERT_TRUE(net.RemoveNode(128).ok());
-  auto route = net.Lookup(1, 200);
+  auto route = overlay::Lookup(net, 1, 200);
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
   EXPECT_EQ(route->destination, 1u);

@@ -74,7 +74,7 @@ TEST(ChordNetwork, LookupAlwaysSucceedsWhenStable) {
   for (int t = 0; t < 500; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 16);
     uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success) << "key " << key << " from " << origin;
     EXPECT_EQ(route->destination, net.ResponsibleNode(key).value());
@@ -92,7 +92,7 @@ TEST(ChordNetwork, LookupHopsBoundedByBits) {
   for (int t = 0; t < 500; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 20);
     uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_LE(route->hops, 20) << "steady-state bound of log-ish hops";
   }
@@ -106,11 +106,11 @@ TEST(ChordNetwork, AuxiliaryPointerShortensRoute) {
   ids.push_back(0);
   ChordNetwork net = MakeNetwork(8, ids);
   const uint64_t target = 129;  // owned by 128's... 128 is the predecessor
-  auto before = net.Lookup(0, target);
+  auto before = overlay::Lookup(net, 0, target);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(before->success);
   ASSERT_TRUE(net.SetAuxiliaries(0, {128}).ok());
-  auto after = net.Lookup(0, target);
+  auto after = overlay::Lookup(net, 0, target);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->success);
   EXPECT_LE(after->hops, before->hops);
@@ -133,14 +133,14 @@ TEST(ChordNetwork, AuxiliariesHelpOnAggregate) {
   int64_t before = 0;
   for (int t = 0; t < 200; ++t) {
     keys.push_back(rng.UniformU64(uint64_t{1} << 16));
-    before += net.Lookup(origin, keys.back())->hops;
+    before += overlay::Lookup(net, origin, keys.back())->hops;
   }
   // Install random auxiliaries at the origin.
   std::vector<uint64_t> aux(ids.begin() + 1, ids.begin() + 9);
   ASSERT_TRUE(net.SetAuxiliaries(origin, aux).ok());
   int64_t after = 0;
   for (uint64_t key : keys) {
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     after += route->hops;
@@ -162,7 +162,7 @@ TEST(ChordNetwork, RoutingSkipsDeadEntriesAfterCrash) {
   ChordNetwork net = MakeNetwork(8, {0, 64, 128, 192, 200, 210});
   // Crash a node without stabilizing anyone: others' tables are stale.
   ASSERT_TRUE(net.RemoveNode(192).ok());
-  auto route = net.Lookup(0, 201);
+  auto route = overlay::Lookup(net, 0, 201);
   ASSERT_TRUE(route.ok());
   // 200 is the live predecessor of 201.
   EXPECT_TRUE(route->success);
@@ -190,7 +190,7 @@ TEST(ChordNetwork, ChurnedLookupsRecoverAfterStabilization) {
     do {
       origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     } while (!net.IsAlive(origin));
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     successes += route->success;
   }

@@ -139,7 +139,7 @@ TEST(KademliaNetwork, StableLookupsAreExact) {
     const uint64_t origin =
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 12);
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok()) << route.status();
     EXPECT_TRUE(route->success);
     auto truth = net.ResponsibleNode(key);
@@ -163,7 +163,7 @@ TEST(KademliaNetwork, TruncatedBucketsStillRouteExactly) {
     const uint64_t origin =
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 12);
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success) << "origin " << origin << " key " << key;
   }
@@ -180,7 +180,7 @@ TEST(KademliaNetwork, TraceRecordsStrictXorDescent) {
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 12);
     RouteTrace trace;
-    auto route = net.Lookup(origin, key, &trace);
+    auto route = overlay::Lookup(net, origin, key, &trace);
     ASSERT_TRUE(route.ok());
     EXPECT_EQ(trace.origin, origin);
     EXPECT_EQ(trace.key, key);
@@ -210,7 +210,7 @@ TEST(KademliaNetwork, AuxiliaryShortcutIsUsedAndCounted) {
   net.StabilizeAll();
   ASSERT_TRUE(net.SetAuxiliaries(0, {0x900}).ok());
   RouteTrace trace;
-  auto route = net.Lookup(0, 0x901, &trace);
+  auto route = overlay::Lookup(net, 0, 0x901, &trace);
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
   EXPECT_EQ(route->destination, 0x900u);
@@ -240,7 +240,7 @@ TEST(KademliaNetwork, StaleTablesSkipDeadEntriesAtUseTime) {
     const uint64_t origin =
         live[static_cast<size_t>(rng.UniformU64(live.size()))];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 12);
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(net.IsAlive(route->destination))
         << "a lookup must never end at a dead node";
@@ -309,15 +309,17 @@ TEST(KademliaNetwork, LookupFromDeadOriginFails) {
   ASSERT_TRUE(net.AddNode(1).ok());
   ASSERT_TRUE(net.AddNode(2).ok());
   ASSERT_TRUE(net.RemoveNode(2).ok());
-  EXPECT_EQ(net.Lookup(2, 5).status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(net.Lookup(42, 5).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(overlay::Lookup(net, 2, 5).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(overlay::Lookup(net, 42, 5).status().code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(KademliaNetwork, SingleNodeAnswersEverythingItself) {
   KademliaNetwork net(SmallParams(8));
   ASSERT_TRUE(net.AddNode(7).ok());
   for (uint64_t key : {uint64_t{0}, uint64_t{7}, uint64_t{255}}) {
-    auto route = net.Lookup(7, key);
+    auto route = overlay::Lookup(net, 7, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     EXPECT_EQ(route->destination, 7u);
@@ -376,7 +378,7 @@ TEST(KademliaNetwork, BucketCapacityKeepsStableRoutingExact) {
   for (int i = 0; i < 400; ++i) {
     const uint64_t origin = ids[rng.UniformU64(ids.size())];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 10);
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     EXPECT_EQ(route->destination, XorClosest(ids, key));
@@ -390,7 +392,7 @@ TEST(KademliaNetwork, HopBudgetCapsTheRoute) {
   ASSERT_TRUE(net.AddNode(0).ok());
   ASSERT_TRUE(net.AddNode(255).ok());
   net.StabilizeAll();
-  auto route = net.Lookup(0, 255);
+  auto route = overlay::Lookup(net, 0, 255);
   ASSERT_TRUE(route.ok());
   EXPECT_FALSE(route->success);
   EXPECT_EQ(route->hops, 0);

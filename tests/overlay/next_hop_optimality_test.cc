@@ -269,7 +269,7 @@ template <typename Net, typename Reference>
 std::string CheckRoute(const Net& net, uint64_t origin, uint64_t key,
                        const Reference& reference) {
   RouteTrace trace;
-  auto route = net.Lookup(origin, key, &trace);
+  auto route = overlay::Lookup(net, origin, key, &trace);
   if (!route.ok()) return Where("lookup failed", origin, key, 0);
   if (trace.path.size() > static_cast<size_t>(net.params().max_route_hops)) {
     return Where("route ran out of hops", origin, key, trace.path.size());

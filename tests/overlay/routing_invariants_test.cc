@@ -745,7 +745,7 @@ TEST(FlatTables, PastrySampledStabilizeStillRoutesExactly) {
       const uint64_t origin =
           s.live[static_cast<size_t>(rng.UniformU64(s.live.size()))];
       const uint64_t key = rng.NextU64() & LowBitMask(s.bits);
-      auto route = net.Lookup(origin, key);
+      auto route = overlay::Lookup(net, origin, key);
       if (!route.ok()) return "lookup failed: " + route.status().ToString();
       if (!route->success) {
         return Where("sampled-stabilize lookup missed", q, origin, key);

@@ -58,7 +58,7 @@ TEST_P(OverlaySweep, ChordStableLookupsExactAndBounded) {
     const uint64_t key = rng.NextU64() & LowBitMask(c.bits);
     const uint64_t origin =
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     EXPECT_EQ(route->destination, net.ResponsibleNode(key).value());
@@ -90,7 +90,7 @@ TEST_P(OverlaySweep, PastryStableLookupsExactAndBounded) {
     const uint64_t key = rng.NextU64() & LowBitMask(c.bits);
     const uint64_t origin =
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     EXPECT_EQ(route->destination, net.ResponsibleNode(key).value());
@@ -116,7 +116,7 @@ TEST_P(OverlaySweep, ChordAuxiliariesHelpOnAggregate) {
   int64_t base_total = 0;
   for (int t = 0; t < 300; ++t) {
     keys.push_back(rng.NextU64() & LowBitMask(c.bits));
-    base_total += net.Lookup(origin, keys.back())->hops;
+    base_total += overlay::Lookup(net, origin, keys.back())->hops;
   }
   std::vector<uint64_t> aux;
   for (size_t i = 1; i < ids.size() && aux.size() < 12; i += 3) {
@@ -125,7 +125,7 @@ TEST_P(OverlaySweep, ChordAuxiliariesHelpOnAggregate) {
   ASSERT_TRUE(net.SetAuxiliaries(origin, aux).ok());
   int64_t aux_total = 0;
   for (uint64_t key : keys) {
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     EXPECT_TRUE(route->success);
     aux_total += route->hops;
   }
@@ -152,7 +152,7 @@ TEST_P(OverlaySweep, LookupsTerminateUnderMassCrash) {
     do {
       origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     } while (!net.IsAlive(origin));
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_LT(route->hops, params.max_route_hops) << "route must terminate";
     EXPECT_TRUE(net.IsAlive(route->destination));

@@ -78,7 +78,7 @@ TEST(PastryLeafSet, SmallRingEveryoneKnowsEveryone) {
   for (int t = 0; t < 200; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 16);
     uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success);
     EXPECT_LE(route->hops, 2);
@@ -100,7 +100,7 @@ TEST(PastryLeafSet, SparseRingsDeliverExactly) {
     for (int t = 0; t < 200; ++t) {
       uint64_t key = rng.UniformU64(uint64_t{1} << 20);
       uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-      auto route = net.Lookup(origin, key);
+      auto route = overlay::Lookup(net, origin, key);
       ASSERT_TRUE(route.ok());
       EXPECT_TRUE(route->success)
           << "seed " << seed << " key " << key << " from " << origin;

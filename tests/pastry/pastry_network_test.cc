@@ -103,7 +103,7 @@ TEST(PastryNetwork, LookupAlwaysSucceedsWhenStable) {
   for (int t = 0; t < 500; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 16);
     uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(route->success) << "key " << key << " from " << origin;
     EXPECT_EQ(route->destination, net.ResponsibleNode(key).value());
@@ -119,7 +119,7 @@ TEST(PastryNetwork, PrefixGrowsAlongRoute) {
   for (int t = 0; t < 300; ++t) {
     uint64_t key = rng.UniformU64(uint64_t{1} << 24);
     uint64_t origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_LE(route->hops, 26);
   }
@@ -133,11 +133,11 @@ TEST(PastryNetwork, AuxiliaryPointerShortensRoute) {
   // Find a multi-hop destination, install it as auxiliary, re-route.
   for (uint64_t target : ids) {
     if (target == origin) continue;
-    auto before = net.Lookup(origin, target);
+    auto before = overlay::Lookup(net, origin, target);
     ASSERT_TRUE(before.ok());
     if (before->hops < 3) continue;
     ASSERT_TRUE(net.SetAuxiliaries(origin, {target}).ok());
-    auto after = net.Lookup(origin, target);
+    auto after = overlay::Lookup(net, origin, target);
     ASSERT_TRUE(after.ok());
     EXPECT_TRUE(after->success);
     EXPECT_EQ(after->hops, 1) << "direct pointer must make it one hop";
@@ -162,7 +162,7 @@ TEST(PastryNetwork, DeadEntriesSkippedAfterCrash) {
     do {
       origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     } while (!net.IsAlive(origin));
-    auto route = net.Lookup(origin, key);
+    auto route = overlay::Lookup(net, origin, key);
     ASSERT_TRUE(route.ok());
     EXPECT_TRUE(net.IsAlive(route->destination));
     delivered += route->success;
@@ -177,20 +177,20 @@ TEST(PastryNetwork, DeadEntriesSkippedAfterCrash) {
     do {
       origin = ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     } while (!net.IsAlive(origin));
-    EXPECT_TRUE(net.Lookup(origin, key)->success);
+    EXPECT_TRUE(overlay::Lookup(net, origin, key)->success);
   }
 }
 
 TEST(PastryNetwork, TinyOverlays) {
   PastryNetwork net = MakeNetwork(8, {42});
-  auto route = net.Lookup(42, 7);
+  auto route = overlay::Lookup(net, 42, 7);
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
   EXPECT_EQ(route->hops, 0);
   EXPECT_EQ(route->destination, 42u);
 
   PastryNetwork net2 = MakeNetwork(8, {42, 100});
-  auto route2 = net2.Lookup(42, 101);
+  auto route2 = overlay::Lookup(net2, 42, 101);
   ASSERT_TRUE(route2.ok());
   EXPECT_TRUE(route2->success);
   EXPECT_EQ(route2->destination, 100u);

@@ -38,7 +38,7 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
   EXPECT_LE(sel->chosen.size(), 6u);
   ASSERT_TRUE(net.SetAuxiliaries(ids[0], sel->chosen).ok());
 
-  auto route = net.Lookup(ids[0], ids[5]);
+  auto route = overlay::Lookup(net, ids[0], ids[5]);
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
 }
